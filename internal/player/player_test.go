@@ -254,6 +254,28 @@ func TestMidSessionOutageWithRecovery(t *testing.T) {
 	}
 }
 
+// TestSmallBufferStallResumes pins the resume-threshold clamp: with a 7 s
+// buffer and 4 s chunks the ON-OFF loop stops adding at 3 s of occupancy,
+// so the default 8 s resume threshold could never be reached. A stall on
+// the 100 kb/s tail must still end, and no chunk may overflow the buffer.
+func TestSmallBufferStallResumes(t *testing.T) {
+	res, err := Run(Config{
+		Algorithm: abr.NewBBA0(),
+		Stream:    cbrStream(t, 60),
+		Trace:     trace.Step(5*units.Mbps, 100*units.Kbps, 20*time.Second, time.Hour),
+		BufferMax: 7 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rebuffers == 0 {
+		t.Error("no rebuffer below R_min")
+	}
+	if res.Played != 4*time.Minute {
+		t.Errorf("played %v, want the whole 4m title", res.Played)
+	}
+}
+
 func TestSwitchCounting(t *testing.T) {
 	s := cbrStream(t, 60)
 	res, err := Run(Config{
