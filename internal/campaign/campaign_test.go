@@ -153,11 +153,18 @@ func TestResumeNoDoubleCounting(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	kcfg := cfg
 	kcfg.CheckpointPath = path
+	// Kill at the third shard to reach the collector: it is recorded,
+	// and every later one is refused, so no shard still in flight at the
+	// kill can fold into the checkpoint.
 	var done atomic.Int32
-	kcfg.Progress = func(p Progress) {
-		if done.Add(1) == 3 { // kill after the third completed shard
+	kcfg.OnShard = func(int, []*GroupAccum) error {
+		switch n := done.Add(1); {
+		case n == 3:
 			cancel()
+		case n > 3:
+			return context.Canceled
 		}
+		return nil
 	}
 	out, err := RunContext(ctx, kcfg)
 	if !errors.Is(err, context.Canceled) {
@@ -177,6 +184,9 @@ func TestResumeNoDoubleCounting(t *testing.T) {
 	got := cp.CompletedShards()
 	if got == 0 || got >= cfg.Sessions/cfg.ShardSize {
 		t.Fatalf("checkpoint recorded %d shards; want a strict mid-run subset", got)
+	}
+	if got != 3 {
+		t.Fatalf("checkpoint recorded %d shards; want the 3 admitted before the kill", got)
 	}
 
 	// A truncated report is available, and marked as such.

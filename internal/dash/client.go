@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"bba/internal/abr"
-	"bba/internal/buffer"
 	"bba/internal/faults"
 	"bba/internal/media"
 	"bba/internal/player"
@@ -29,8 +28,7 @@ type ClientConfig struct {
 	// primary once the fallback has proven itself.
 	Endpoints []string
 	// Fetch bounds per-chunk fetching: attempt timeout, backoff and the
-	// attempt budget. The zero value means defaults; a legacy MaxRetries
-	// sets the budget when Fetch.MaxAttempts is unset.
+	// attempt budget. The zero value means defaults.
 	Fetch FetchPolicy
 	// HTTPClient performs the requests; nil means http.DefaultClient.
 	// Shape its transport (see internal/netem) to emulate a constrained
@@ -45,9 +43,6 @@ type ClientConfig struct {
 	// WatchLimit stops after this much delivered video; 0 plays the
 	// whole title.
 	WatchLimit time.Duration
-	// MaxRetries bounds per-chunk retry attempts on transport or server
-	// errors. Deprecated: use Fetch.MaxAttempts; kept as its fallback.
-	MaxRetries int
 	// UseMPD fetches the standards-shaped /manifest.mpd instead of the
 	// JSON manifest. An MPD carries no per-chunk sizes, so the client
 	// models every chunk at its nominal V·R size — the paper's situation
@@ -60,21 +55,20 @@ type ClientConfig struct {
 	UseHLS bool
 	// Logf, when non-nil, receives per-chunk progress lines.
 	Logf func(format string, args ...any)
-	// Observer, when non-nil, receives the session's telemetry events
-	// (wall-clock At, measured from session start). Nil costs nothing.
+	// Observer, when non-nil, receives the session's telemetry events.
+	// At is the session clock: ON-OFF idles plus measured fetch times.
 	Observer telemetry.Observer
 }
 
 // ErrChunkFailed reports a chunk that could not be fetched within the retry
-// budget.
-var ErrChunkFailed = errors.New("dash: chunk fetch failed")
+// budget. It wraps player.ErrOutage: the session ends in an outage.
+var ErrChunkFailed = fmt.Errorf("dash: chunk fetch failed: %w", player.ErrOutage)
 
 // Stream runs a real-time HTTP streaming session: it fetches the manifest,
-// then downloads chunks one at a time — choosing each rate with the
-// configured algorithm, pacing requests against the playback buffer exactly
-// like the simulator's player, but over the wall clock and a real HTTP
-// connection. It returns the same Result type as the virtual-time player,
-// so all metrics helpers apply.
+// then runs the simulator's playback loop (player.Session) over an HTTP
+// link — chunk downloads on a real connection with endpoint failover, and
+// ON-OFF idles on the wall clock. It returns the same Result type as the
+// virtual-time player, so all metrics helpers apply.
 func Stream(ctx context.Context, cfg ClientConfig) (*player.Result, error) {
 	if cfg.Algorithm == nil {
 		return nil, errors.New("dash: nil algorithm")
@@ -83,21 +77,12 @@ func Stream(ctx context.Context, cfg ClientConfig) (*player.Result, error) {
 	if httpc == nil {
 		httpc = http.DefaultClient
 	}
-	bufMax := cfg.BufferMax
-	if bufMax <= 0 {
-		bufMax = buffer.DefaultMax
-	}
 	endpoints := cfg.Endpoints
 	if len(endpoints) == 0 {
 		if cfg.BaseURL == "" {
 			return nil, errors.New("dash: no endpoints")
 		}
 		endpoints = []string{cfg.BaseURL}
-	}
-	fp := cfg.Fetch.withDefaults(cfg.MaxRetries)
-	logf := cfg.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
 	}
 
 	var video *media.Video
@@ -135,234 +120,42 @@ func Stream(ctx context.Context, cfg ClientConfig) (*player.Result, error) {
 			return nil, fmt.Errorf("dash: bad manifest: %w", err)
 		}
 	}
-	stream := abr.NewStream(video, cfg.Rmin)
-	ladder := stream.Ladder()
-	v := stream.ChunkDuration()
-
-	buf := buffer.New(bufMax)
-	// A stalled session refills through add-only steps of v, and the
-	// ON-OFF loop stops adding above bufMax-v — so a resume threshold
-	// past that point can never be reached: the session would sit stalled
-	// forever, filling the buffer until AddChunk overflows. Clamp the
-	// default so every stall can end. (With the default 240s buffer this
-	// is a no-op; it matters for small soak/test buffers.)
-	if resume := bufMax - v; resume < buffer.DefaultResume {
-		if resume < 0 {
-			resume = 0
-		}
-		buf.SetResume(resume)
-	}
-	res := &player.Result{Algorithm: cfg.Algorithm.Name()}
-	sessionStart := time.Now()
-	var (
-		prevIdx   = -1
-		lastTP    units.BitRate
-		lastDl    time.Duration
-		lastBytes int64
-	)
-
-	obs := cfg.Observer
-	var (
-		stallBase     time.Duration
-		lastReservoir = time.Duration(-1)
-		reporter      abr.ReservoirReporter
-	)
-	if obs != nil {
-		reporter, _ = cfg.Algorithm.(abr.ReservoirReporter)
-		obs.OnEvent(telemetry.Event{
-			Kind: telemetry.SessionStart, Chunk: -1, RateIndex: -1,
-			PrevRateIndex: -1, Label: res.Algorithm,
-		})
-	}
-
 	f := &fetcher{
-		c:  httpc,
-		es: newEndpointSet(endpoints),
-		fp: fp,
-		onRetry: func(k, attempt int, backoff time.Duration) {
-			res.Retries++
-			if obs != nil {
-				obs.OnEvent(telemetry.Event{
-					Kind: telemetry.ChunkRetry, At: time.Since(sessionStart),
-					Chunk: k, RateIndex: -1, PrevRateIndex: -1, Duration: backoff,
-				})
-			}
-		},
-		onFailover: func(from, to int, url string) {
-			res.Failovers++
-			logf("failover: endpoint %d -> %d (%s)", from, to, url)
-			if obs != nil {
-				obs.OnEvent(telemetry.Event{
-					Kind: telemetry.Failover, At: time.Since(sessionStart),
-					Chunk: -1, RateIndex: to, PrevRateIndex: from, Label: url,
-				})
-			}
-		},
+		ctx: ctx,
+		c:   httpc,
+		es:  newEndpointSet(endpoints),
+		fp:  cfg.Fetch.withDefaults(),
+		s:   abr.NewStream(video, cfg.Rmin),
+		obs: telemetry.Multi(cfg.Observer, logObserver(cfg.Logf)),
 	}
-
-	for k := 0; k < stream.NumChunks(); k++ {
-		if cfg.WatchLimit > 0 && buf.Played()+buf.Level() >= cfg.WatchLimit {
-			break
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-
-		// ON-OFF pacing.
-		if !buf.HasSpaceFor(v) {
-			wait := buf.TimeUntilSpaceFor(v)
-			time.Sleep(wait)
-			buf.Advance(wait)
-		}
-
-		now := time.Since(sessionStart)
-		st := abr.State{
-			Now:            now,
-			Buffer:         buf.Level(),
-			BufferMax:      bufMax,
-			PrevIndex:      prevIdx,
-			NextChunk:      k,
-			LastThroughput: lastTP,
-			LastDownload:   lastDl,
-			LastChunkBytes: lastBytes,
-		}
-		idx := ladder.Clamp(cfg.Algorithm.Next(st, stream))
-		if obs != nil {
-			obs.OnEvent(telemetry.Event{
-				Kind: telemetry.BufferSample, At: now, Chunk: k,
-				RateIndex: -1, PrevRateIndex: -1,
-				Buffer: buf.Level(), Played: buf.Played(),
-			})
-			if reporter != nil {
-				if r, p, ok := reporter.LastReservoir(); ok && r != lastReservoir {
-					lastReservoir = r
-					obs.OnEvent(telemetry.Event{
-						Kind: telemetry.ReservoirUpdate, At: now, Chunk: k,
-						RateIndex: -1, PrevRateIndex: -1,
-						Reservoir: r, Protection: p, Buffer: buf.Level(),
-					})
-				}
-			}
-			if prevIdx >= 0 && idx != prevIdx {
-				obs.OnEvent(telemetry.Event{
-					Kind: telemetry.RateSwitch, At: now, Chunk: k,
-					RateIndex: idx, PrevRateIndex: prevIdx,
-					Rate: ladder[idx], Buffer: buf.Level(),
-				})
-			}
-			obs.OnEvent(telemetry.Event{
-				Kind: telemetry.ChunkRequest, At: now, Chunk: k,
-				RateIndex: idx, PrevRateIndex: -1,
-				Rate: ladder[idx], Bytes: stream.ChunkSize(idx, k),
-				Buffer: buf.Level(),
-			})
-		}
-
-		start := time.Now()
-		n, err := f.fetchChunk(ctx, stream.VideoIndex(idx), k)
-		dl := time.Since(start)
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			res.Incomplete = true
-			res.Rebuffers++
-			if obs != nil {
-				obs.OnEvent(telemetry.Event{
-					Kind: telemetry.RebufferStart, At: time.Since(sessionStart) + buf.Level(),
-					Chunk: k, RateIndex: -1, PrevRateIndex: -1, Label: "outage",
-				})
-			}
-			break
-		}
-		var preLevel, preStall time.Duration
-		var preRebuf int
-		if obs != nil {
-			preLevel, preStall, preRebuf = buf.Level(), buf.StallTime(), buf.Rebuffers()
-		}
-		buf.Advance(dl)
-		if obs != nil && buf.Rebuffers() > preRebuf {
-			stallBase = preStall
-			obs.OnEvent(telemetry.Event{
-				Kind: telemetry.RebufferStart, At: time.Since(sessionStart) - dl + preLevel,
-				Chunk: k, RateIndex: -1, PrevRateIndex: -1,
-			})
-		}
-		if k == 0 {
-			res.JoinDelay = time.Since(sessionStart)
-		}
-		stalled := buf.Started() && !buf.Playing()
-		if err := buf.AddChunk(v); err != nil {
-			return nil, err
-		}
-
-		if prevIdx >= 0 && idx != prevIdx {
-			res.Switches++
-		}
-		lastTP = units.Throughput(n, dl)
-		lastDl = dl
-		lastBytes = n
-		res.Chunks = append(res.Chunks, player.ChunkRecord{
-			Index:       k,
-			RateIndex:   idx,
-			Rate:        ladder[idx],
-			Bytes:       n,
-			Start:       time.Since(sessionStart) - dl,
-			Download:    dl,
-			Throughput:  lastTP,
-			BufferAfter: buf.Level(),
-		})
-		prevIdx = idx
-		if obs != nil {
-			at := time.Since(sessionStart)
-			if stalled && buf.Playing() {
-				obs.OnEvent(telemetry.Event{
-					Kind: telemetry.RebufferEnd, At: at, Chunk: k,
-					RateIndex: -1, PrevRateIndex: -1,
-					Duration: buf.StallTime() - stallBase, Buffer: buf.Level(),
-				})
-			}
-			obs.OnEvent(telemetry.Event{
-				Kind: telemetry.ChunkComplete, At: at, Chunk: k,
-				RateIndex: idx, PrevRateIndex: -1,
-				Rate: ladder[idx], Bytes: n, Duration: dl,
-				Throughput: lastTP, Buffer: buf.Level(), Played: buf.Played(),
-			})
-		}
-		logf("chunk %d: rate=%v bytes=%d dl=%v buffer=%v", k, ladder[idx], n, dl.Round(time.Millisecond), buf.Level().Round(100*time.Millisecond))
+	res, err := player.RunLink(ctx, player.Config{
+		Algorithm:  cfg.Algorithm,
+		Stream:     f.s,
+		BufferMax:  cfg.BufferMax,
+		WatchLimit: cfg.WatchLimit,
+		Observer:   f.obs,
+	}, f)
+	if err != nil {
+		return nil, err
 	}
-
-	// Account the buffered tail as watched; no need to sleep through it.
-	if obs != nil && !res.Incomplete && buf.Started() && !buf.Playing() {
-		obs.OnEvent(telemetry.Event{
-			Kind: telemetry.RebufferEnd, At: time.Since(sessionStart), Chunk: -1,
-			RateIndex: -1, PrevRateIndex: -1,
-			Duration: buf.StallTime() - stallBase, Buffer: buf.Level(),
-		})
-	}
-	buf.Resume()
-	remaining := buf.Level()
-	if cfg.WatchLimit > 0 {
-		if left := cfg.WatchLimit - buf.Played(); left < remaining {
-			remaining = left
-		}
-	}
-	if remaining > 0 {
-		buf.Advance(remaining)
-	}
-
-	res.Played = buf.Played()
-	res.Rebuffers += buf.Rebuffers()
-	res.StallTime += buf.StallTime()
-	res.End = time.Since(sessionStart)
-	if obs != nil {
-		obs.OnEvent(telemetry.Event{
-			Kind: telemetry.SessionEnd, At: res.End, Chunk: len(res.Chunks),
-			RateIndex: -1, PrevRateIndex: -1,
-			Duration: res.StallTime, Played: res.Played, Label: res.Algorithm,
-		})
-	}
+	res.Retries, res.Failovers = f.retries, f.failovers
 	return res, nil
+}
+
+// logObserver turns per-chunk and failover events into Logf lines; a nil
+// logf yields a nil observer.
+func logObserver(logf func(format string, args ...any)) telemetry.Observer {
+	if logf == nil {
+		return nil
+	}
+	return telemetry.Func(func(e telemetry.Event) {
+		switch e.Kind {
+		case telemetry.ChunkComplete:
+			logf("chunk %d: rate=%v bytes=%d dl=%v buffer=%v", e.Chunk, e.Rate, e.Bytes, e.Duration.Round(time.Millisecond), e.Buffer.Round(100*time.Millisecond))
+		case telemetry.Failover:
+			logf("failover: endpoint %d -> %d (%s)", e.PrevRateIndex, e.RateIndex, e.Label)
+		}
+	})
 }
 
 // fetchMPD retrieves and parses the standards manifest.
@@ -492,57 +285,94 @@ func tryEndpoints[T any](endpoints []string, fetch func(base string) (T, error))
 	return zero, lastErr
 }
 
-// fetcher downloads chunks under a FetchPolicy with endpoint failover.
+// fetcher is the HTTP link: it downloads chunks under a FetchPolicy with
+// endpoint failover, and lets ON-OFF idles pass on the wall clock.
 type fetcher struct {
-	c          *http.Client
-	es         *endpointSet
-	fp         FetchPolicy
-	onRetry    func(k, attempt int, backoff time.Duration)
-	onFailover func(from, to int, url string)
+	ctx context.Context
+	c   *http.Client
+	es  *endpointSet
+	fp  FetchPolicy
+	s   abr.Stream
+	obs telemetry.Observer
+
+	retries, failovers int
+	// The session clock when the current fetch was issued, and the wall
+	// time it was issued at: link events are stamped on the session clock.
+	now   time.Duration
+	start time.Time
 }
 
-// fetchChunk downloads one chunk, retrying with deterministic backoff and
-// failing over between endpoints, and returns the byte count.
-func (f *fetcher) fetchChunk(ctx context.Context, rate, k int) (int64, error) {
+// Fetch implements player.Link: it downloads chunk k, retrying with
+// deterministic backoff and failing over between endpoints, and times the
+// whole fetch on the wall clock.
+func (f *fetcher) Fetch(now time.Duration, k, idx int) (int64, time.Duration, error) {
+	f.now, f.start = now, time.Now()
+	rate := f.s.VideoIndex(idx)
 	var lastErr error
 	for attempt := 0; attempt < f.fp.MaxAttempts; attempt++ {
 		if attempt > 0 {
 			backoff := faults.Backoff(f.fp.BackoffBase, f.fp.BackoffCap, uint64(f.fp.JitterSeed), k, attempt)
-			if f.onRetry != nil {
-				f.onRetry(k, attempt, backoff)
-			}
-			select {
-			case <-ctx.Done():
-				return 0, ctx.Err()
-			case <-time.After(backoff):
+			f.retries++
+			f.emit(telemetry.Event{
+				Kind: telemetry.ChunkRetry, Chunk: k,
+				RateIndex: -1, PrevRateIndex: -1, Duration: backoff,
+			})
+			if err := f.Idle(backoff); err != nil {
+				return 0, 0, err
 			}
 		}
 		_, base := f.es.current()
-		n, err := f.try(ctx, base, rate, k)
+		n, err := f.try(base, rate, k)
 		if err == nil {
-			if switched, from, to := f.es.success(); switched && f.onFailover != nil {
-				f.onFailover(from, to, f.es.urls[to])
-			}
-			return n, nil
+			f.switched(f.es.success())
+			return n, time.Since(f.start), nil
 		}
-		if ctx.Err() != nil {
-			return 0, ctx.Err()
+		if f.ctx.Err() != nil {
+			return 0, 0, f.ctx.Err()
 		}
 		lastErr = err
-		if switched, from, to := f.es.failure(); switched && f.onFailover != nil {
-			f.onFailover(from, to, f.es.urls[to])
-		}
+		f.switched(f.es.failure())
 	}
-	return 0, fmt.Errorf("%w: chunk %d/%d after %d attempts: %v", ErrChunkFailed, rate, k, f.fp.MaxAttempts, lastErr)
+	return 0, 0, fmt.Errorf("%w: chunk %d/%d after %d attempts: %v", ErrChunkFailed, rate, k, f.fp.MaxAttempts, lastErr)
+}
+
+// Idle implements player.Link: it waits d on the wall clock, or until the
+// session's context is done. Retry backoffs wait the same way.
+func (f *fetcher) Idle(d time.Duration) error {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-f.ctx.Done():
+		return f.ctx.Err()
+	case <-t.C:
+		return nil
+	}
+}
+
+// switched records an endpoint switch reported by the endpoint set.
+func (f *fetcher) switched(sw bool, from, to int) {
+	if !sw {
+		return
+	}
+	f.failovers++
+	f.emit(telemetry.Event{
+		Kind: telemetry.Failover, Chunk: -1,
+		RateIndex: to, PrevRateIndex: from, Label: f.es.urls[to],
+	})
+}
+
+// emit stamps e on the session clock and hands it to the observer.
+func (f *fetcher) emit(e telemetry.Event) {
+	if f.obs != nil {
+		e.At = f.now + time.Since(f.start)
+		f.obs.OnEvent(e)
+	}
 }
 
 // try performs a single attempt against base under the per-chunk timeout.
-func (f *fetcher) try(ctx context.Context, base string, rate, k int) (int64, error) {
-	if f.fp.ChunkTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, f.fp.ChunkTimeout)
-		defer cancel()
-	}
+func (f *fetcher) try(base string, rate, k int) (int64, error) {
+	ctx, cancel := context.WithTimeout(f.ctx, f.fp.ChunkTimeout)
+	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, fmt.Sprintf("%s/chunk/%d/%d", base, rate, k), nil)
 	if err != nil {
 		return 0, err

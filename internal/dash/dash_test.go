@@ -221,9 +221,9 @@ func TestStreamGivesUpAfterPersistentFailures(t *testing.T) {
 	defer ts.Close()
 
 	res, err := Stream(context.Background(), ClientConfig{
-		BaseURL:    ts.URL,
-		Algorithm:  abr.NewBBA0(),
-		MaxRetries: 2,
+		BaseURL:   ts.URL,
+		Algorithm: abr.NewBBA0(),
+		Fetch:     FetchPolicy{MaxAttempts: 2},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -45,10 +45,6 @@ type Config struct {
 	// WatchLimit stops the session after this much video has been
 	// delivered to the viewer; 0 watches the whole title.
 	WatchLimit time.Duration
-	// ResumeThreshold is the occupancy a stalled player waits for before
-	// restarting playback; 0 means buffer.DefaultResume, negative means
-	// resume on the first chunk.
-	ResumeThreshold time.Duration
 	// Seeks are viewer seeks, in ascending AfterPlayed order: once that
 	// much video has been delivered, the buffer is flushed and the next
 	// request jumps to ToChunk. Startup-capable algorithms re-enter
@@ -231,21 +227,27 @@ func (r *Result) ChunkRateKbps(i int) float64 {
 var ErrNoProgress = errors.New("player: download cannot make progress")
 
 // Run simulates the session to completion and returns its Result.
-func Run(cfg Config) (*Result, error) { return run(nil, cfg) }
+func Run(cfg Config) (*Result, error) { return run(nil, cfg, nil) }
 
 // RunContext is Run with cancellation: the context is checked once per
 // chunk, so multi-hour (or million-session) simulations stop promptly when
 // the caller cancels. A nil context behaves like Run.
 func RunContext(ctx context.Context, cfg Config) (*Result, error) {
-	return run(ctx, cfg)
+	return run(ctx, cfg, nil)
+}
+
+// RunLink is RunContext with link carrying the chunks instead of the
+// virtual link; cfg's Trace, Injector and Retry are then unused.
+func RunLink(ctx context.Context, cfg Config, link Link) (*Result, error) {
+	return run(ctx, cfg, link)
 }
 
 // run drives a Session step by step — the one-shot form of the reusable
 // engine. The Session owns its Result, so hand ownership to the caller by
 // detaching it before returning.
-func run(ctx context.Context, cfg Config) (*Result, error) {
+func run(ctx context.Context, cfg Config, link Link) (*Result, error) {
 	var ss Session
-	if err := ss.Start(cfg); err != nil {
+	if err := ss.start(cfg, link); err != nil {
 		return nil, err
 	}
 	for {

@@ -15,9 +15,11 @@ import (
 
 // Session is the playback engine in resumable, reusable form: the complete
 // state of one streaming session between chunk requests. The scalar Run
-// loop and the batch kernel advance the very same Step function, which is
-// what makes batch-mode campaign reports byte-identical to scalar ones —
-// there is exactly one implementation of the per-chunk arithmetic.
+// loop, the batch kernel and the HTTP client (dash.Stream, over a Link)
+// advance the very same Step function, which is what makes batch-mode
+// campaign reports byte-identical to scalar ones and keeps real-socket
+// sessions on the simulator's playback model — there is exactly one
+// implementation of the per-chunk arithmetic.
 //
 // A zero Session is ready for Start. Starting again after a session ends
 // reuses every retained allocation — the Result, its record storage, the
@@ -42,9 +44,13 @@ type Session struct {
 	// Reused storage: buffer, cursor and result live inside the Session
 	// so per-lane state can sit in flat arrays with no per-session
 	// allocation.
-	buf  buffer.Buffer
-	link trace.Cursor
-	res  *Result
+	buf buffer.Buffer
+	cur trace.Cursor
+	res *Result
+
+	// link, when non-nil, replaces the virtual link (the trace cursor
+	// plus the fault loop) for downloads and ON-OFF idles.
+	link Link
 
 	// The session clock and the per-chunk loop state.
 	k         int
@@ -71,13 +77,33 @@ type Session struct {
 	finished bool
 }
 
+// Link carries a session's chunks in place of the virtual link, which is
+// the capacity trace plus, when an Injector is set, the fault loop.
+// dash.Stream implements it over real HTTP. Either way the session clock
+// advances by the ON-OFF idles and the returned download times.
+type Link interface {
+	// Fetch downloads chunk k at session-ladder index idx, issued at
+	// session time now, and returns the bytes received and the download
+	// time. An error wrapping ErrOutage ends the session in an outage
+	// rebuffer, marked Incomplete; any other error aborts it.
+	Fetch(now time.Duration, k, idx int) (int64, time.Duration, error)
+	// Idle lets an ON-OFF pause of d pass; an error aborts the session.
+	Idle(d time.Duration) error
+}
+
+// ErrOutage is what a Link's Fetch wraps when it gives up on a chunk.
+var ErrOutage = errors.New("player: link outage")
+
 // Start (re)initializes the session from cfg. A Session that already ran
 // keeps its arena storage; only the logical state resets.
-func (ss *Session) Start(cfg Config) error {
+func (ss *Session) Start(cfg Config) error { return ss.start(cfg, nil) }
+
+// start is Start over link; a nil link means the virtual one.
+func (ss *Session) start(cfg Config, link Link) error {
 	if cfg.Algorithm == nil {
 		return errors.New("player: nil algorithm")
 	}
-	if cfg.Trace == nil {
+	if cfg.Trace == nil && link == nil {
 		return errors.New("player: nil trace")
 	}
 	bufMax := cfg.BufferMax
@@ -97,13 +123,22 @@ func (ss *Session) Start(cfg Config) error {
 	}
 
 	ss.buf.Reset(bufMax)
-	if cfg.ResumeThreshold != 0 {
-		ss.buf.SetResume(cfg.ResumeThreshold)
+	// A stalled session refills through add-only steps of v, and the
+	// ON-OFF loop stops adding above bufMax-v — so a resume threshold
+	// past that point can never be reached: the session would sit stalled
+	// forever, filling the buffer until AddChunk overflows. Clamp the
+	// default so every stall can end. (With the default 240s buffer this
+	// is a no-op; it matters for small soak/test buffers.)
+	if resume := bufMax - ss.v; resume < buffer.DefaultResume {
+		ss.buf.SetResume(resume)
 	}
-	// The session clock only moves forward, so one trace cursor serves the
-	// whole session: each download resumes the segment walk where the last
-	// one finished instead of re-searching the trace.
-	ss.link.Bind(cfg.Trace)
+	ss.link = link
+	if link == nil {
+		// The session clock only moves forward, so one trace cursor serves
+		// the whole session: each download resumes the segment walk where
+		// the last one finished instead of re-searching the trace.
+		ss.cur.Bind(cfg.Trace)
+	}
 
 	if ss.res == nil {
 		ss.res = &Result{}
@@ -216,6 +251,12 @@ func (ss *Session) Step() (bool, error) {
 	// ON-OFF: wait for space before the next request.
 	if !ss.buf.HasSpaceFor(ss.v) {
 		wait := ss.buf.TimeUntilSpaceFor(ss.v)
+		if ss.link != nil {
+			if err := ss.link.Idle(wait); err != nil {
+				ss.finished = true
+				return true, err
+			}
+		}
 		ss.buf.Advance(wait)
 		ss.now += wait
 	}
@@ -262,18 +303,14 @@ func (ss *Session) Step() (bool, error) {
 		})
 	}
 
-	if ss.inj != nil {
-		idx, bytes = ss.faultLoop(k, idx, bytes)
-	}
-
-	dl, ok := ss.link.DownloadTime(ss.now, bytes)
-	if !ok {
+	idx, bytes, dl, err := ss.fetch(k, idx, bytes)
+	if err != nil {
+		if !errors.Is(err, ErrOutage) {
+			ss.finished = true
+			return true, err
+		}
 		// Permanent outage: playback drains whatever is buffered
 		// and freezes forever.
-		if k == 0 {
-			ss.finished = true
-			return true, ErrNoProgress
-		}
 		ss.res.Incomplete = true
 		ss.res.Rebuffers++
 		if ss.obs != nil {
@@ -370,6 +407,28 @@ func (ss *Session) Step() (bool, error) {
 		return true, nil
 	}
 	return false, nil
+}
+
+// fetch downloads chunk k over the session's link and returns the rate
+// index it was fetched at (the fault loop may degrade it), its bytes and
+// the download time.
+func (ss *Session) fetch(k, idx int, bytes int64) (int, int64, time.Duration, error) {
+	if ss.link != nil {
+		n, dl, err := ss.link.Fetch(ss.now, k, idx)
+		return idx, n, dl, err
+	}
+	if ss.inj != nil {
+		idx, bytes = ss.faultLoop(k, idx, bytes)
+	}
+	dl, ok := ss.cur.DownloadTime(ss.now, bytes)
+	switch {
+	case ok:
+		return idx, bytes, dl, nil
+	case k == 0:
+		return idx, bytes, 0, ErrNoProgress
+	default:
+		return idx, bytes, 0, ErrOutage
+	}
 }
 
 // faultLoop is the resilience loop: each attempt pays any active latency

@@ -176,8 +176,8 @@ type Event struct {
 	// Session labels the session; empty for single-session runs. The
 	// A/B harness stamps "d<day>.w<window>.s<index>.<group>".
 	Session string
-	// At is the session clock (virtual time in the simulator, wall time
-	// since session start over HTTP).
+	// At is the session clock (virtual time in the simulator; over HTTP,
+	// ON-OFF idles plus measured fetch times).
 	At time.Duration
 	// Chunk is the chunk index the event concerns (-1 when n/a).
 	Chunk int
